@@ -36,7 +36,10 @@
 //! `POST /shutdown` (or [`ServerHandle::shutdown`]) drains: the
 //! acceptor stops taking connections, workers finish the queue,
 //! in-flight jobs complete, and every thread joins — no signal
-//! handling, no aborted routes.
+//! handling, no aborted routes. No thread polls a timer, idle or
+//! draining: the acceptor blocks in `accept` and the drain wakes it
+//! with one connection to the daemon's own address; every other wait
+//! is on a condvar that the thread finishing the awaited work signals.
 
 use crate::http::{self, Request};
 use cds_instgen::io::doc::{chip_doc_to_string, parse_chip_doc, ChipDoc};
@@ -44,11 +47,25 @@ use cds_router::report::{json_escape, json_f64, outcome_json};
 use cds_router::{Router, RouterConfig, RunControl, WorkerPool};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::io::{BufReader, ErrorKind};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Per-operation socket deadline for each connection, reads and writes
+/// alike: a peer that stops sending or stops reading frees its handler
+/// thread, and with it the drain, within this bound.
+const IO_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Pause after an accept error that is not about one connection (e.g.
+/// EMFILE), so a persistent failure does not spin the acceptor.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Bound on the drain's wake connection. A loopback connect to a
+/// listening socket completes at once unless its backlog is full, and
+/// then the acceptor has connections to take, so it wakes anyway.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Daemon tuning; every bound is explicit.
 #[derive(Debug, Clone)]
@@ -144,13 +161,67 @@ struct State {
     /// Submissions that attached to an identical in-flight job instead
     /// of enqueueing a second route.
     coalesced: AtomicU64,
-    active_conns: AtomicUsize,
+    /// Live connection handlers; each signals `conns_cv` as it exits so
+    /// the drain can wait for the count to reach zero.
+    conns: Mutex<usize>,
+    conns_cv: Condvar,
+    /// Where the drain connects to wake the blocked acceptor: the bound
+    /// address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
+}
+
+impl State {
+    fn new(config: ServeConfig, wake_addr: SocketAddr) -> Self {
+        State {
+            config,
+            jobs: Mutex::new(Vec::new()),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            cache: Mutex::new(HashMap::new()),
+            draining: AtomicBool::new(false),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            conns: Mutex::new(0),
+            conns_cv: Condvar::new(),
+            wake_addr,
+        }
+    }
+
+    /// Starts the drain; idempotent. Sets `draining`, wakes every idle
+    /// worker, and wakes the acceptor out of its blocking `accept` by
+    /// connecting to the daemon's own address — the acceptor re-checks
+    /// `draining` after each accept and drops that connection unserved.
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::Release);
+        // taking the queue lock orders the store before any worker's
+        // next empty-queue check: a worker that read `draining == false`
+        // holds the lock until it is parked on `queue_cv`, so this
+        // notification cannot fall between its check and its wait
+        drop(lock(&self.queue));
+        self.queue_cv.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
+    }
+}
+
+/// The address that reaches a listener bound to `bound`: itself, or
+/// loopback of the same family when bound to `0.0.0.0` / `[::]`, which
+/// accept connections but cannot be connected to portably.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Locks that survive a poisoned mutex: a panicking worker must not
 /// take the whole daemon's status endpoints down with it.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// FNV-1a over length-framed parts (framing keeps `("ab","c")` and
@@ -223,8 +294,7 @@ impl ServerHandle {
     /// and blocks until every queued and in-flight job completed and
     /// all threads joined.
     pub fn shutdown(self) -> DrainReport {
-        self.state.draining.store(true, Ordering::Release);
-        self.state.queue_cv.notify_all();
+        self.state.begin_drain();
         self.wait()
     }
 
@@ -255,19 +325,7 @@ impl Server {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("set_nonblocking: {e}"))?;
-        let state = Arc::new(State {
-            config: config.clone(),
-            jobs: Mutex::new(Vec::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
-        });
+        let state = Arc::new(State::new(config.clone(), wake_addr(addr)));
         let mut threads = Vec::with_capacity(config.workers + 1);
         for _ in 0..config.workers {
             let state = Arc::clone(&state);
@@ -275,39 +333,71 @@ impl Server {
         }
         {
             let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || acceptor_loop(&listener, &state)));
+            threads.push(std::thread::spawn(move || {
+                acceptor_loop(listener, &state);
+                drain_conns(&state);
+            }));
         }
         Ok(ServerHandle { addr, state, threads })
     }
 }
 
-/// Accepts connections until draining, then waits for in-flight
-/// connection handlers to finish. Nonblocking accept with a short nap
-/// keeps shutdown latency bounded without signal machinery.
-fn acceptor_loop(listener: &TcpListener, state: &Arc<State>) {
+/// Accepts connections until draining, one handler thread each. The
+/// accept blocks: no timer runs while the daemon is idle, and the drain
+/// wakes it with a connection to the daemon's own address (see
+/// [`State::begin_drain`]). `draining` is re-checked after every
+/// accept, so that wake connection, and any other that arrives once
+/// the drain began, is dropped unserved. Returning drops the listener,
+/// so later connects are refused.
+fn acceptor_loop(listener: TcpListener, state: &Arc<State>) {
     while !state.draining.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                state.active_conns.fetch_add(1, Ordering::AcqRel);
-                let state = Arc::clone(state);
-                std::thread::spawn(move || {
-                    handle_conn(&state, stream);
-                    state.active_conns.fetch_sub(1, Ordering::AcqRel);
-                });
+                if state.draining.load(Ordering::Acquire) {
+                    break;
+                }
+                let conn = ConnGuard::new(state);
+                std::thread::spawn(move || handle_conn(&conn.0, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+            Err(e) => {
+                // an error about one connection (interrupted, or reset
+                // before it was taken) leaves the next accept unaffected;
+                // any other (EMFILE) backs off instead of spinning
+                if !matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                }
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-    // drain: let in-flight request handlers write their responses
-    while state.active_conns.load(Ordering::Acquire) > 0 {
-        std::thread::sleep(Duration::from_millis(2));
+}
+
+/// One live connection handler: counted on creation, and dropping it —
+/// also by unwinding — uncounts it and wakes the drain.
+struct ConnGuard(Arc<State>);
+
+impl ConnGuard {
+    fn new(state: &Arc<State>) -> Self {
+        *lock(&state.conns) += 1;
+        ConnGuard(Arc::clone(state))
     }
-    // wake any worker still parked on the queue condvar
-    state.queue_cv.notify_all();
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        *lock(&self.0.conns) -= 1;
+        self.0.conns_cv.notify_all();
+    }
+}
+
+/// The acceptor's half of the drain: waits until every in-flight
+/// connection handler has written its response. (The workers need no
+/// second wake-up here: [`State::begin_drain`]'s notification cannot
+/// be missed.)
+fn drain_conns(state: &State) {
+    let mut live = lock(&state.conns);
+    while *live > 0 {
+        live = state.conns_cv.wait(live).unwrap_or_else(PoisonError::into_inner);
+    }
 }
 
 /// One worker: owns a warm [`WorkerPool`] for its whole life, drains
@@ -325,11 +415,7 @@ fn worker_loop(state: &Arc<State>) {
                 if state.draining.load(Ordering::Acquire) {
                     return;
                 }
-                q = state
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0;
+                q = state.queue_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         run_job(state, id, &mut pool);
@@ -401,9 +487,11 @@ fn run_job(state: &Arc<State>, id: usize, pool: &mut WorkerPool) {
 }
 
 /// Reads one request off the connection, dispatches it, writes the
-/// response. One request per connection (`Connection: close`).
+/// response. One request per connection (`Connection: close`); bytes
+/// after the first request are never read.
 fn handle_conn(state: &Arc<State>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_read_timeout(Some(IO_DEADLINE));
+    let _ = stream.set_write_timeout(Some(IO_DEADLINE));
     let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -576,6 +664,11 @@ fn submit(state: &Arc<State>, req: &Request) -> Reply {
     }
     state.cache_misses.fetch_add(1, Ordering::Relaxed);
     let mut queue = lock(&state.queue);
+    // re-checked under the queue lock, where workers check it before
+    // they exit: a job enqueued here is always seen by a worker
+    if state.draining.load(Ordering::Acquire) {
+        return Reply::new(503, error_body("shutting down"));
+    }
     if queue.len() >= state.config.queue_cap {
         return Reply::new(
             503,
@@ -704,10 +797,11 @@ fn cancel(state: &Arc<State>, id: usize) -> Reply {
     r
 }
 
-/// `POST /shutdown`: graceful drain (see module docs).
+/// `POST /shutdown`: graceful drain (see module docs). The drain waits
+/// for this handler too, so the reply is written before the acceptor
+/// thread joins.
 fn shutdown(state: &Arc<State>) -> Reply {
-    state.draining.store(true, Ordering::Release);
-    state.queue_cv.notify_all();
+    state.begin_drain();
     Reply::new(200, "{\"draining\": true}".into())
 }
 
@@ -738,18 +832,17 @@ mod tests {
     use cds_instgen::ChipSpec;
 
     fn test_state() -> Arc<State> {
-        Arc::new(State {
-            config: ServeConfig::default(),
-            jobs: Mutex::new(Vec::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
-        })
+        Arc::new(State::new(ServeConfig::default(), SocketAddr::from((Ipv4Addr::LOCALHOST, 0))))
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let at = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(at("0.0.0.0:7171")), at("127.0.0.1:7171"));
+        assert_eq!(wake_addr(at("[::]:7171")), at("[::1]:7171"));
+        assert_eq!(wake_addr(at("127.0.0.1:80")), at("127.0.0.1:80"));
+        assert_eq!(wake_addr(at("10.1.2.3:80")), at("10.1.2.3:80"));
+        assert_eq!(wake_addr(at("[fe80::1]:80")), at("[fe80::1]:80"));
     }
 
     fn docless_queued_job() -> Job {

@@ -372,3 +372,174 @@ fn unknown_query_knob_is_rejected_up_front() {
     assert!(resp.text().contains("unknown router knob"));
     handle.shutdown();
 }
+
+// ---- drain and HTTP-layer robustness -------------------------------
+//
+// Wall time below is only a hang watchdog: a call that should return
+// at once is given `WATCHDOG`, and the test fails if it is still
+// blocked then. No test asserts how fast anything is.
+
+const WATCHDOG: Duration = Duration::from_secs(10);
+
+/// Runs `f` on its own thread and returns its value, failing the test
+/// if `f` is still blocked after [`WATCHDOG`].
+fn within_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(v) => v,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what} still blocked after {WATCHDOG:?}")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+/// An address clients can dial for any bind address: a daemon bound
+/// to `0.0.0.0` accepts on loopback, while dialing `0.0.0.0` itself is
+/// not portable.
+fn loopback(handle: &cds_serve::ServerHandle) -> String {
+    format!("127.0.0.1:{}", handle.addr().port())
+}
+
+fn healthz_ok(addr: &str) -> bool {
+    client::request(addr, "GET", "/healthz", b"")
+        .is_ok_and(|r| r.status == 200 && json_bool(&r.text(), "ok") == Some(true))
+}
+
+#[test]
+fn handle_shutdown_of_an_idle_daemon_never_hangs() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, _) = start(ServeConfig { addr: bind.into(), ..ServeConfig::default() });
+        let addr = loopback(&handle);
+        assert!(healthz_ok(&addr), "{bind}: daemon answers before the drain");
+        // the acceptor is now parked in a blocking accept with nothing
+        // in flight: only the drain's wake connection can free it
+        let report = within_watchdog("ServerHandle::shutdown", move || handle.shutdown());
+        assert_eq!((report.done, report.cancelled, report.failed), (0, 0, 0), "{bind}");
+    }
+}
+
+#[test]
+fn http_shutdown_of_an_idle_daemon_never_hangs() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, _) = start(ServeConfig { addr: bind.into(), ..ServeConfig::default() });
+        let addr = loopback(&handle);
+        let resp = client::request(&addr, "POST", "/shutdown", b"").unwrap();
+        assert_eq!(resp.status, 200, "{bind}");
+        assert_eq!(json_bool(&resp.text(), "draining"), Some(true));
+        // no client connects again: the acceptor must leave its
+        // blocking accept through the drain's own wake connection
+        let report = within_watchdog("ServerHandle::wait", move || handle.wait());
+        assert_eq!((report.done, report.failed), (0, 0), "{bind}");
+    }
+}
+
+#[test]
+fn connection_made_after_the_drain_began_is_not_served() {
+    let (handle, addr) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let doc = smoke_doc();
+    for seed in 0..3 {
+        let resp = client::request(&addr, "POST", &format!("/jobs?seed={seed}"), doc.as_bytes());
+        assert_eq!(resp.unwrap().status, 201);
+    }
+    let resp = client::request(&addr, "POST", "/shutdown", b"").unwrap();
+    assert_eq!(resp.status, 200);
+    // the drain began before that reply was written, and the worker
+    // may still be routing: a new connection may be refused or reset,
+    // but never answered
+    let late = within_watchdog("post-drain request", move || {
+        client::request(&addr, "GET", "/healthz", b"")
+    });
+    assert!(late.is_err(), "a connection made after the drain began was served: {late:?}");
+    // no watchdog: this wait includes the routes (the idle tests above
+    // cover a drain that hangs)
+    let report = handle.wait();
+    assert_eq!(report.done, 3, "accepted jobs still complete: {report:?}");
+}
+
+#[test]
+fn stalled_connection_does_not_delay_other_clients() {
+    let (handle, addr) = start(ServeConfig { workers: 0, ..ServeConfig::default() });
+    // one peer that connects and sends nothing, one that stops in the
+    // middle of its headers; each pins only its own handler thread
+    let silent = TcpStream::connect(&addr).unwrap();
+    let mut half = TcpStream::connect(&addr).unwrap();
+    half.write_all(b"GET /healthz HTTP/1.1\r\nHost: x").unwrap();
+    let probe = addr.clone();
+    assert!(within_watchdog("healthz beside stalled peers", move || healthz_ok(&probe)));
+    // closing the stalled peers ends their handlers (EOF), so the
+    // drain does not wait out the read deadline
+    drop((silent, half));
+    within_watchdog("shutdown", move || handle.shutdown());
+}
+
+#[test]
+fn client_that_disconnects_mid_body_leaves_the_daemon_healthy() {
+    let (handle, addr) = start(ServeConfig { workers: 0, ..ServeConfig::default() });
+    let doc = smoke_doc();
+    // announce the full document, send a tenth of it, hang up
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    write!(stream, "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n", doc.len())
+        .unwrap();
+    stream.write_all(&doc.as_bytes()[..doc.len() / 10]).unwrap();
+    drop(stream);
+    let resp = client::request(&addr, "GET", "/healthz", b"").unwrap();
+    assert_eq!(resp.status, 200);
+    let text = resp.text();
+    assert_eq!(json_u64(&text, "jobs"), Some(0), "a partial body created a job: {text}");
+    // the next complete submission is parsed from a clean slate
+    let resp = client::request(&addr, "POST", "/jobs", doc.as_bytes()).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    within_watchdog("shutdown", move || handle.shutdown());
+}
+
+#[test]
+fn client_that_disconnects_before_reading_leaves_the_daemon_healthy() {
+    let (handle, addr) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let first = client::submit_and_wait(&addr, &smoke_doc(), "", POLL).unwrap();
+    assert_eq!(first.state, "done");
+    let path = format!("/jobs/{}/result", first.job);
+    // each request is complete, then the client hangs up at once, so
+    // the handler writes its response into a closed connection
+    for _ in 0..20 {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        drop(stream);
+    }
+    assert!(healthz_ok(&addr));
+    let again = client::request(&addr, "GET", &path, b"").unwrap();
+    assert_eq!(again.status, 200);
+    assert_eq!(again.text(), first.result_json, "the archived result is unchanged");
+    let report = within_watchdog("shutdown", move || handle.shutdown());
+    assert_eq!((report.done, report.failed), (1, 0));
+}
+
+#[test]
+fn pipelined_requests_get_one_answer_then_the_connection_closes() {
+    let (handle, addr) = start(ServeConfig { workers: 0, ..ServeConfig::default() });
+    // no workers: this job stays queued unless something cancels it
+    let resp = client::request(&addr, "POST", "/jobs", smoke_doc().as_bytes()).unwrap();
+    assert_eq!(resp.status, 201);
+    let job = json_u64(&resp.text(), "job").unwrap();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let pipelined = format!(
+        "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nDELETE /jobs/{job} HTTP/1.1\r\nHost: x\r\n\r\n"
+    );
+    stream.write_all(pipelined.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let first = cds_serve::http::read_response(&mut reader).unwrap();
+    assert_eq!(first.status, 200);
+    assert_eq!(first.header("Connection"), Some("close"));
+    assert_eq!(json_bool(&first.text(), "ok"), Some(true), "the first request is answered");
+    // then the server closes: EOF (or a reset), never a second response
+    let mut rest = Vec::new();
+    let _ = std::io::Read::read_to_end(&mut reader, &mut rest);
+    assert!(rest.is_empty(), "a second response arrived: {}", String::from_utf8_lossy(&rest));
+    // and the second request never ran
+    let resp = client::request(&addr, "GET", &format!("/jobs/{job}"), b"").unwrap();
+    assert_eq!(json_str(&resp.text(), "state"), Some("queued"));
+    within_watchdog("shutdown", move || handle.shutdown());
+}
