@@ -10,7 +10,7 @@
 //! Feasible up to `k ≈ 6` (945 shapes) — exactly what the approximation
 //! ratio property tests need.
 
-use cds_embed::{embed_topology, EmbedEnv};
+use cds_embed::{EmbedEnv, EmbedWorkspace};
 use cds_geom::Point;
 use cds_graph::VertexId;
 use cds_topo::{EmbeddedTree, NodeId, Topology};
@@ -85,7 +85,9 @@ pub fn enumerate_topologies(num_sinks: usize) -> Vec<Topology> {
 /// delay model (3)) over all embedded Steiner trees, found by exhaustive
 /// shape enumeration plus optimal embedding.
 ///
-/// Returns the optimal value and one optimal tree.
+/// Returns the optimal value and one optimal tree. One
+/// [`EmbedWorkspace`] serves every shape, so the window's arc table is
+/// built once per instance.
 ///
 /// # Panics
 ///
@@ -96,9 +98,11 @@ pub fn optimal_cost_distance(
     sink_vertices: &[VertexId],
     weights: &[f64],
 ) -> (f64, EmbeddedTree) {
+    let mut ws = EmbedWorkspace::new();
+    ws.load_window(env);
     let mut best: Option<(f64, EmbeddedTree)> = None;
     for topo in enumerate_topologies(sink_vertices.len()) {
-        let tree = embed_topology(env, &topo, root_vertex, sink_vertices, weights);
+        let tree = ws.embed(&topo, root_vertex, sink_vertices, weights);
         let val = tree.evaluate(env.cost, env.delay, weights, &env.bif).total;
         if best.as_ref().is_none_or(|(b, _)| val < *b) {
             best = Some((val, tree));

@@ -9,19 +9,15 @@
 //!   per-sink sub-heaps of [`TwoLevelHeap`](crate::TwoLevelHeap): ids are
 //!   the solver's compact window-local vertex ids, slabs grow on demand
 //!   and stay warm across pooled reuse, and `clear` is one epoch bump
-//!   instead of an `O(n)` wipe;
-//! * [`SparseIndexedHeap`] uses a `HashMap` — for callers whose id space
-//!   is genuinely unbounded.
-
-use std::collections::HashMap;
+//!   instead of an `O(n)` wipe.
 
 /// Maps an id to its index in the heap array.
 ///
 /// Implementation detail of the heaps; sealed by being private to the
-/// crate's public surface (only the two aliases below are exported).
+/// crate's public surface (only the aliases below are exported).
 pub trait PositionMap: Default {
-    /// Creates a map able to hold ids `0..capacity` (dense) or any ids
-    /// (sparse, capacity is a size hint).
+    /// Creates a map able to hold ids `0..capacity` (the stamped map
+    /// grows past it on demand).
     fn with_capacity(capacity: usize) -> Self;
     /// Position of `id`, if queued.
     fn get(&self, id: u32) -> Option<u32>;
@@ -111,30 +107,8 @@ impl PositionMap for StampedPos {
     }
 }
 
-/// Sparse position map backed by a `HashMap`.
-#[derive(Debug, Clone, Default)]
-pub struct SparsePos(HashMap<u32, u32>);
-
-impl PositionMap for SparsePos {
-    fn with_capacity(capacity: usize) -> Self {
-        SparsePos(HashMap::with_capacity(capacity.min(64)))
-    }
-    fn get(&self, id: u32) -> Option<u32> {
-        self.0.get(&id).copied()
-    }
-    fn set(&mut self, id: u32, p: u32) {
-        self.0.insert(id, p);
-    }
-    fn remove(&mut self, id: u32) {
-        self.0.remove(&id);
-    }
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
 /// The shared heap implementation. Use via [`IndexedBinaryHeap`] or
-/// [`SparseIndexedHeap`].
+/// the stamped aliases.
 ///
 /// `TIE` selects the comparison: `false` orders by key alone (ties
 /// resolve by heap structure — cheapest, and all single-source Dijkstra
@@ -195,19 +169,9 @@ pub type StampedIndexedHeap = RawIndexedHeap<StampedPos>;
 /// ```
 pub type TieStampedIndexedHeap = RawIndexedHeap<StampedPos, true>;
 
-/// Sparse-id binary min-heap with decrease-key, for unbounded id spaces.
-///
-/// ```
-/// use cds_heap::SparseIndexedHeap;
-/// let mut h = SparseIndexedHeap::new(0);
-/// h.push(1_000_000, 2.0); // ids need not be dense
-/// assert_eq!(h.pop(), Some((1_000_000, 2.0)));
-/// ```
-pub type SparseIndexedHeap = RawIndexedHeap<SparsePos>;
-
 impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
     /// Creates an empty heap. For the dense variant `capacity` must bound
-    /// all ids ever pushed; for the sparse variant it is a size hint.
+    /// all ids ever pushed; the stamped variants grow past it on demand.
     pub fn new(capacity: usize) -> Self {
         RawIndexedHeap { heap: Vec::new(), pos: M::with_capacity(capacity) }
     }
@@ -215,9 +179,7 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
     /// Whether entry `a` sorts strictly before entry `b`: by key, with
     /// the id tie-break iff `TIE`.
     #[inline]
-    fn before(&self, a: usize, b: usize) -> bool {
-        let (ka, ia) = self.heap[a];
-        let (kb, ib) = self.heap[b];
+    fn before((ka, ia): (f64, u32), (kb, ib): (f64, u32)) -> bool {
         if TIE {
             (ka, ia) < (kb, ib)
         } else {
@@ -262,7 +224,6 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
         match self.pos.get(id) {
             None => {
                 self.heap.push((key, id));
-                self.pos.set(id, (self.heap.len() - 1) as u32);
                 self.sift_up(self.heap.len() - 1);
                 true
             }
@@ -289,7 +250,6 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
         let (key, id) = self.heap.swap_remove(0);
         self.pos.remove(id);
         if !self.heap.is_empty() {
-            self.pos.set(self.heap[0].1, 0);
             self.sift_down(0);
         }
         Some((id, key))
@@ -301,40 +261,56 @@ impl<M: PositionMap, const TIE: bool> RawIndexedHeap<M, TIE> {
         self.heap.clear();
     }
 
+    /// Moves the entry at `i` up to its place. Hole-based: each level
+    /// shifts one parent down (one entry and one position write) and the
+    /// moving entry is written once at the end — the same comparisons
+    /// and final positions as swapping level by level.
     fn sift_up(&mut self, mut i: usize) {
+        let moving = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.before(i, parent) {
-                self.swap(i, parent);
+            if Self::before(moving, self.heap[parent]) {
+                self.place(i, self.heap[parent]);
                 i = parent;
             } else {
                 break;
             }
         }
+        self.place(i, moving);
     }
 
+    /// Moves the entry at `i` down to its place; hole-based like
+    /// [`sift_up`](Self::sift_up). Each level picks the smaller child
+    /// (the left one on ties) without a branch and moves it up if it
+    /// sorts before the moving entry — the same final positions as
+    /// comparing the moving entry with each child in turn.
     fn sift_down(&mut self, mut i: usize) {
+        let moving = self.heap[i];
+        let len = self.heap.len();
         loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.before(l, smallest) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.before(r, smallest) {
-                smallest = r;
-            }
-            if smallest == i {
+            let l = 2 * i + 1;
+            if l >= len {
                 break;
             }
-            self.swap(i, smallest);
-            i = smallest;
+            let mut c = l;
+            if l + 1 < len {
+                c += usize::from(Self::before(self.heap[l + 1], self.heap[l]));
+            }
+            let child = self.heap[c];
+            if !Self::before(child, moving) {
+                break;
+            }
+            self.place(i, child);
+            i = c;
         }
+        self.place(i, moving);
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos.set(self.heap[a].1, a as u32);
-        self.pos.set(self.heap[b].1, b as u32);
+    /// Writes `entry` at heap index `i` and records its position.
+    #[inline]
+    fn place(&mut self, i: usize, entry: (f64, u32)) {
+        self.heap[i] = entry;
+        self.pos.set(entry.1, i as u32);
     }
 
     #[cfg(test)]
@@ -390,15 +366,6 @@ mod tests {
         assert_eq!(h.pop(), Some((1, 9.0)));
     }
 
-    #[test]
-    fn sparse_accepts_large_ids() {
-        let mut h = SparseIndexedHeap::new(0);
-        h.push(u32::MAX - 1, 1.0);
-        h.push(12345, 0.5);
-        assert_eq!(h.pop(), Some((12345, 0.5)));
-        assert_eq!(h.pop(), Some((u32::MAX - 1, 1.0)));
-    }
-
     fn reference_run<M: PositionMap>(mut h: RawIndexedHeap<M>, ops: Vec<(u32, f64)>) {
         let mut reference: std::collections::HashMap<u32, f64> = Default::default();
         for (id, key) in ops {
@@ -422,13 +389,108 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The swap-per-level heap the hole-based sifts replaced, kept as
+    /// the reference for where every entry ends up.
+    #[derive(Default)]
+    struct SwapHeap<const TIE: bool> {
+        heap: Vec<(f64, u32)>,
+    }
+
+    impl<const TIE: bool> SwapHeap<TIE> {
+        fn before(&self, a: usize, b: usize) -> bool {
+            let (x, y) = (self.heap[a], self.heap[b]);
+            if TIE {
+                x < y
+            } else {
+                x.0 < y.0
+            }
+        }
+
+        fn push(&mut self, id: u32, key: f64) {
+            match self.heap.iter().position(|e| e.1 == id) {
+                None => {
+                    self.heap.push((key, id));
+                    self.sift_up(self.heap.len() - 1);
+                }
+                Some(p) if key < self.heap[p].0 => {
+                    self.heap[p].0 = key;
+                    self.sift_up(p);
+                }
+                Some(_) => {}
+            }
+        }
+
+        fn pop(&mut self) -> Option<(u32, f64)> {
+            if self.heap.is_empty() {
+                return None;
+            }
+            let (key, id) = self.heap.swap_remove(0);
+            if !self.heap.is_empty() {
+                self.sift_down(0);
+            }
+            Some((id, key))
+        }
+
+        fn sift_up(&mut self, mut i: usize) {
+            while i > 0 && self.before(i, (i - 1) / 2) {
+                self.heap.swap(i, (i - 1) / 2);
+                i = (i - 1) / 2;
+            }
+        }
+
+        fn sift_down(&mut self, mut i: usize) {
+            loop {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let mut smallest = i;
+                if l < self.heap.len() && self.before(l, smallest) {
+                    smallest = l;
+                }
+                if r < self.heap.len() && self.before(r, smallest) {
+                    smallest = r;
+                }
+                if smallest == i {
+                    break;
+                }
+                self.heap.swap(i, smallest);
+                i = smallest;
+            }
+        }
+    }
+
     proptest! {
-        /// Both variants agree with a sorted reference under random
+        /// Both position maps agree with a sorted reference under random
         /// workloads, including decrease-key.
         #[test]
         fn matches_reference(ops in proptest::collection::vec((0u32..64, 0.0f64..100.0), 1..200)) {
             reference_run(IndexedBinaryHeap::new(64), ops.clone());
-            reference_run(SparseIndexedHeap::new(0), ops);
+            reference_run(StampedIndexedHeap::new(0), ops);
+        }
+
+        /// The hole-based sifts leave every entry exactly where the
+        /// swap-per-level reference puts it, so the pop order among equal
+        /// keys — which depends on heap structure — is unchanged. Keys
+        /// come from a tiny pool to make ties the common case.
+        #[test]
+        fn sifts_match_the_swapping_reference(
+            ops in proptest::collection::vec((0u32..48, 0u8..5, 0u8..4), 1..300),
+        ) {
+            let (mut h, mut r) = (IndexedBinaryHeap::new(48), SwapHeap::<false>::default());
+            let (mut ht, mut rt) = (TieStampedIndexedHeap::new(0), SwapHeap::<true>::default());
+            for &(id, k, op) in &ops {
+                if op == 0 {
+                    prop_assert_eq!(h.pop(), r.pop());
+                    prop_assert_eq!(ht.pop(), rt.pop());
+                } else {
+                    h.push(id, k as f64);
+                    r.push(id, k as f64);
+                    ht.push(id, k as f64);
+                    rt.push(id, k as f64);
+                }
+                prop_assert_eq!(&h.heap, &r.heap);
+                prop_assert_eq!(&ht.heap, &rt.heap);
+                h.check_invariants();
+                ht.check_invariants();
+            }
         }
 
         /// The tie-ordered variant pops in exact `(key, id)` order, not

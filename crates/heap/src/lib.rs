@@ -46,9 +46,7 @@ pub mod ordered;
 pub mod two_level;
 
 pub use bucket::BucketQueue;
-pub use indexed::{
-    IndexedBinaryHeap, SparseIndexedHeap, StampedIndexedHeap, TieStampedIndexedHeap,
-};
+pub use indexed::{IndexedBinaryHeap, StampedIndexedHeap, TieStampedIndexedHeap};
 pub use lazy::LazyHeap;
 pub use ordered::OrderedF64;
 pub use two_level::TwoLevelHeap;

@@ -163,11 +163,12 @@ impl<'a> OracleRequest<'a> {
 /// Reusable per-worker scratch for oracle calls.
 ///
 /// Holds the CD solver's [`SolverWorkspace`] plus the per-net scratch
-/// of the CD oracle itself (future-cost plane buffer, vertex lists);
-/// the plane-topology baselines are allocation-light and currently keep
-/// no scratch, but the workspace still travels through their calls so
-/// the interface stays uniform (and so future baselines can add reuse
-/// without an API break).
+/// of the CD oracle itself (future-cost plane buffer, vertex lists).
+/// The plane-topology baselines (L1, SL, PD) keep no scratch here: each
+/// call embeds through a fresh [`EmbedWorkspace`](cds_embed::EmbedWorkspace),
+/// whose window arc table, label slabs and pull trees are freed when it
+/// returns. Kept warm across nets, those buffers raised the process's
+/// peak memory with no measurable gain in speed.
 #[derive(Debug, Default)]
 pub struct OracleWorkspace {
     /// The cost-distance solver's session workspace.
