@@ -8,7 +8,7 @@
 
 use cds_bench::{env_usize, selected_suite};
 use cds_core::{solve, GridFutureCost, Instance, SolverOptions};
-use cds_graph::{EdgeIndex, GridWindow};
+use cds_graph::{RoutingSurface, WindowView};
 use cds_router::{Router, RouterConfig};
 use cds_topo::BifurcationConfig;
 
@@ -21,7 +21,9 @@ fn main() {
         Router::new(chip, RouterConfig { iterations, harvest: true, ..Default::default() });
     let out = router.run();
     let bif = BifurcationConfig::new(chip.delay_model.dbif_ps(), 0.25);
-    let index = EdgeIndex::new(&chip.grid);
+    // window views carry global edge ids: prices and delays are passed
+    // chip-wide, unsliced, exactly as the router passes them
+    let delay = chip.grid.graph().delays();
 
     let variants: [(&str, SolverOptions); 5] = [
         ("full (A-E)", SolverOptions::default()),
@@ -39,15 +41,13 @@ fn main() {
         let net = &chip.nets[h.net];
         let mut pins = vec![net.root];
         pins.extend_from_slice(&net.sinks);
-        let window = GridWindow::around(&chip.grid, &index, &pins, 6);
-        let cost = window.slice(&out.prices);
-        let delay = window.grid.graph().delays();
-        let root = window.grid.vertex_at(window.localize(net.root));
+        let window = WindowView::around(&chip.grid, &pins, 6);
+        let root = window.vertex_at(window.localize(net.root));
         let sinks: Vec<u32> =
-            net.sinks.iter().map(|&p| window.grid.vertex_at(window.localize(p))).collect();
+            net.sinks.iter().map(|&p| window.vertex_at(window.localize(p))).collect();
         let inst = Instance {
-            graph: window.grid.graph(),
-            cost: &cost,
+            graph: &window,
+            cost: &out.prices,
             delay: &delay,
             root,
             sink_vertices: &sinks,
@@ -65,7 +65,7 @@ fn main() {
         // work saved by §III-C
         let mut terms = sinks.clone();
         terms.push(root);
-        let fc = GridFutureCost::new(&window.grid, &terms);
+        let fc = GridFutureCost::new(&window, &terms);
         astar_settled += solve(&inst, &SolverOptions::enhanced(&fc)).stats.settled;
         plain_settled += solve(&inst, &SolverOptions::default()).stats.settled;
         n += 1;

@@ -72,7 +72,7 @@ const USAGE: &str = "usage: cds-cli <gen|route|verify|harvest|fixtures|submit|lo
   gen      [--preset smoke|small|converging|congested|fanout_heavy] [--nets N] [--layers N]
            [--seed N] [--utilization F] [--name S] [-o FILE]
   route    [FILE|-] [--oracle cd|l1|sl|pd] [--threads N] [--iterations N]
-           [--incremental BOOL] [--price-tol F] [--materialize] [--seed N]
+           [--incremental BOOL] [--price-tol F] [--seed N]
            [--checkpoint FILE] [--resume]
            [--set key=value]...       (e.g. --set queue=heap|bucket, --set shards=4)
   verify   [FILE|-] --expect 0xHEX [route flags]
@@ -263,7 +263,6 @@ fn build_config(records: &[(String, String)], flags: &Flags) -> Result<RouterCon
                 config.set_knob(name, v)?;
             }
             "price-tol" => config.set_knob("price_tol", v)?,
-            "materialize" => config.materialize_windows = true,
             "set" => {
                 let (k, v) =
                     v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?;
@@ -293,7 +292,6 @@ fn config_records(c: &RouterConfig) -> Vec<(String, String)> {
         ("price_alpha".into(), format!("{:?}", c.price_alpha)),
         ("weight_tau_ps".into(), format!("{:?}", c.weight_tau_ps)),
         ("harvest".into(), b(c.harvest)),
-        ("materialize_windows".into(), b(c.materialize_windows)),
         ("incremental".into(), b(c.incremental)),
         ("price_tol".into(), format!("{:?}", c.price_tol)),
         ("recount_every".into(), c.recount_every.to_string()),
@@ -367,7 +365,7 @@ const ROUTE_FLAGS: &[&str] = &[
     "expect",
     "checkpoint",
 ];
-const ROUTE_SWITCHES: &[&str] = &["materialize", "resume"];
+const ROUTE_SWITCHES: &[&str] = &["resume"];
 
 fn route(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, ROUTE_FLAGS, ROUTE_SWITCHES)?;
@@ -540,7 +538,6 @@ fn query_from_flags(flags: &Flags) -> Result<String, String> {
                 pairs.push((name.clone(), v.to_string()));
             }
             "price-tol" => pairs.push(("price_tol".into(), v.to_string())),
-            "materialize" => pairs.push(("materialize_windows".into(), "true".into())),
             "set" => {
                 let (k, val) =
                     v.split_once('=').ok_or_else(|| format!("--set wants key=value, got {v}"))?;
@@ -603,7 +600,7 @@ const LOADTEST_FLAGS: &[&str] = &[
     "seed",
     "set",
 ];
-const LOADTEST_SWITCHES: &[&str] = &["materialize", "shutdown"];
+const LOADTEST_SWITCHES: &[&str] = &["shutdown"];
 
 fn loadtest(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(args, LOADTEST_FLAGS, LOADTEST_SWITCHES)?;

@@ -182,6 +182,43 @@ fn unknown_flags_are_rejected_instead_of_swallowing_arguments() {
 }
 
 #[test]
+fn materialize_switch_is_rejected() {
+    // a removed switch must fail loudly rather than be silently ignored
+    for sub in [["route", "x.cdst"], ["verify", "x.cdst"], ["submit", "x.cdst"], ["loadtest", "x"]]
+    {
+        let out = bin().args(sub).arg("--materialize").output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{sub:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --materialize"), "{sub:?}: {err}");
+    }
+}
+
+#[test]
+fn resuming_a_checkpoint_without_state_prices_is_a_parse_error() {
+    // Regression: a state section without `state prices` records used
+    // to parse, and resuming it panicked in the dirty tracker (exit
+    // 101). Now it is a malformed document like any other.
+    let doc = tmp("noprices.cdst");
+    let cp = tmp("noprices_cp.cdst");
+    run_ok(bin().args(["gen", "--preset", "small", "--nets", "15", "-o", doc.to_str().unwrap()]));
+    run_ok(bin().args(["route", doc.to_str().unwrap(), "--iterations", "3"]).args([
+        "--set",
+        "checkpoint_every=1",
+        "--checkpoint",
+        cp.to_str().unwrap(),
+    ]));
+    let text = std::fs::read_to_string(&cp).unwrap();
+    assert!(text.lines().any(|l| l.starts_with("state prices")), "checkpoint lacks prices");
+    let stripped: String =
+        text.lines().filter(|l| !l.starts_with("state prices")).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&cp, stripped).unwrap();
+    let out = bin().args(["route", cp.to_str().unwrap(), "--resume"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("state prices"), "stderr does not name the missing record: {err}");
+}
+
+#[test]
 fn config_flags_apply_in_command_line_order() {
     // Regression: --set pairs used to apply after all dedicated flags
     // regardless of position, so a later dedicated flag could not

@@ -14,10 +14,9 @@
 //! * [`GridWindow`] — the materialized backend: builds the
 //!   sub-[`GridGraph`] for a window and maps its edge ids back to the
 //!   global graph so that prices can be sliced in and usage accumulated
-//!   out. Kept for harnesses that want a self-contained instance, and as
-//!   the reference the view backend is checked against (routing over a
-//!   `WindowView` is bit-identical to routing over the corresponding
-//!   `GridWindow`).
+//!   out. No router path uses it: it is the reference the view backend
+//!   is checked against in tests (solving over a `WindowView` is
+//!   bit-identical to solving over the corresponding `GridWindow`).
 
 use crate::graph::{EdgeAttrs, EdgeId, EdgeKind, Endpoints, VertexId};
 use crate::grid::{GridGraph, GridSpec, VertexCoord};

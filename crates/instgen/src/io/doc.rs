@@ -44,7 +44,7 @@
 //! state counters <dirty x6> <recounts> <retimed> <kernel x5>
 //! state usage <offset> : <u> ...                        (chunks of 16, offsets must chain)
 //! state hist <offset> : <h> ...
-//! state prices <offset> : <p> ...                       (omitted for full-reroute runs)
+//! state prices <offset> : <p> ...
 //! state net <id> <routed> <drift> : <w> ... : <b>|- : <w_ref> ... : <b_ref>|-
 //! state tree <id> <wl> <vias> : <kind vertex parent plen> ... : <edge> ... : <delay> ...
 //! ```
@@ -124,7 +124,8 @@ pub struct StateNet {
     /// Current per-sink delay budgets (`None` before the first STA).
     pub budgets: Option<Vec<f64>>,
     /// Weights snapshot from the net's last actual route (the dirty
-    /// tracker's reference); empty when unavailable (full-reroute runs).
+    /// tracker's reference): one per sink on a routed net, none on a
+    /// net never routed.
     pub weight_ref: Vec<f64>,
     /// Budgets snapshot from the net's last actual route.
     pub budget_ref: Option<Vec<f64>>,
@@ -189,7 +190,7 @@ pub struct StateSection {
     /// Exponentially blended usage history the price schedule reads.
     pub usage_hist: Vec<f64>,
     /// Prices of the last completed iteration — the dirty tracker's
-    /// drift reference. Empty for full-reroute (non-incremental) runs.
+    /// drift reference (length = the grid's edge count).
     pub prices: Vec<f64>,
     /// Per-net scheduler/weight state, exactly one per net, in order.
     pub nets: Vec<StateNet>,
@@ -570,21 +571,15 @@ fn validate_state(
             state.iteration
         ));
     }
-    for (label, ledger) in [("usage", &state.usage), ("hist", &state.usage_hist)] {
+    for (label, ledger) in
+        [("usage", &state.usage), ("hist", &state.usage_hist), ("prices", &state.prices)]
+    {
         if ledger.len() != num_edges {
             return Err(format!(
                 "state {label} has {} values for a grid with {num_edges} edges",
                 ledger.len()
             ));
         }
-    }
-    if !state.prices.is_empty() && state.prices.len() != num_edges {
-        return Err(format!(
-            "state prices has {} values for a grid with {num_edges} edges",
-            state.prices.len()
-        ));
-    }
-    for ledger in [&state.usage, &state.usage_hist, &state.prices] {
         for &v in ledger.iter() {
             finite_or_err(v, "state ledger value")?;
         }
@@ -602,12 +597,7 @@ fn validate_state(
         if n.weights.len() != sinks {
             return Err(format!("state net {i}: {} weights for {sinks} sinks", n.weights.len()));
         }
-        if !n.weight_ref.is_empty() && n.weight_ref.len() != sinks {
-            return Err(format!(
-                "state net {i}: {} reference weights for {sinks} sinks",
-                n.weight_ref.len()
-            ));
-        }
+        check_weight_ref(i, n.routed, sinks, n.weight_ref.len())?;
         for (label, budgets) in [("budgets", &n.budgets), ("reference budgets", &n.budget_ref)] {
             if let Some(b) = budgets {
                 if b.len() != sinks {
@@ -648,6 +638,17 @@ fn validate_state(
         ));
     }
     Ok(())
+}
+
+/// A routed net carries one reference weight per sink (the weights its
+/// kept route was routed with); a net never routed carries none.
+fn check_weight_ref(id: usize, routed: bool, sinks: usize, got: usize) -> Result<(), String> {
+    let want = if routed { sinks } else { 0 };
+    if got == want {
+        return Ok(());
+    }
+    let net = if routed { "routed" } else { "unrouted" };
+    Err(format!("state net {id}: {got} reference weights on a {net} net with {sinks} sinks"))
 }
 
 /// Well-formedness of one checkpoint tree: attachment order, in-range
@@ -1509,12 +1510,7 @@ impl DocParser {
                 format!("state net {id}: {} weights for {sinks} sinks", weights.len()),
             ));
         }
-        if !weight_ref.is_empty() && weight_ref.len() != sinks {
-            return Err(perr(
-                line,
-                format!("state net {id}: {} reference weights for {sinks} sinks", weight_ref.len()),
-            ));
-        }
+        check_weight_ref(id, routed, sinks, weight_ref.len()).map_err(|m| perr(line, m))?;
         for (label, list) in [("budgets", &budgets), ("reference budgets", &budget_ref)] {
             if let Some(b) = list {
                 if b.len() != sinks {
@@ -2124,6 +2120,51 @@ mod tests {
         // the streaming reader recovers the same state section
         let streamed = read_chip_streaming(text.as_bytes()).unwrap();
         assert_eq!(streamed.state, doc.state);
+    }
+
+    #[test]
+    fn state_without_prices_is_rejected_naming_the_record() {
+        // every checkpoint carries the dirty tracker's price reference;
+        // a state section without it must be a typed error, never a
+        // document that parses and then fails the resume
+        let doc = doc_with_state();
+        let text = chip_doc_to_string(&doc).unwrap();
+        let stripped: String = text
+            .lines()
+            .filter(|l| !l.starts_with("state prices"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let e = parse_chip_doc(&stripped).unwrap_err();
+        assert_eq!(e.line, stripped.lines().count() + 1, "{e}");
+        assert!(e.message.contains("state prices has 0 values"), "{e}");
+        let e = read_chip_streaming(stripped.as_bytes()).unwrap_err();
+        assert!(e.message.contains("state prices has 0 values"), "{e}");
+        // the writer holds the same line
+        let mut no_prices = doc;
+        no_prices.state.as_mut().unwrap().prices.clear();
+        let e = chip_doc_to_string(&no_prices).unwrap_err();
+        assert!(e.to_string().contains("state prices"), "{e}");
+    }
+
+    #[test]
+    fn routed_net_without_reference_weights_is_rejected_on_its_line() {
+        // a routed net's reference weights are the dirty tracker's
+        // weight baseline and the harvest's record; a checkpoint that
+        // drops them must not resume into a silently different run
+        let doc = doc_with_state();
+        let text = chip_doc_to_string(&doc).unwrap();
+        let at = text.lines().position(|l| l.starts_with("state net ")).unwrap();
+        let line = text.lines().nth(at).unwrap();
+        let mut parts: Vec<&str> = line.split(" : ").collect();
+        parts[3] = ""; // head : weights : budgets : w_ref : b_ref
+        let e = parse_chip_doc(&text.replacen(line, &parts.join(" : "), 1)).unwrap_err();
+        assert_eq!(e.line, at + 1, "{e}");
+        assert!(e.message.contains("0 reference weights on a routed net"), "{e}");
+        // the writer holds the same line
+        let mut no_ref = doc;
+        no_ref.state.as_mut().unwrap().nets[0].weight_ref.clear();
+        let e = chip_doc_to_string(&no_ref).unwrap_err();
+        assert!(e.to_string().contains("reference weights on a routed net"), "{e}");
     }
 
     #[test]

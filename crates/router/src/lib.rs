@@ -51,8 +51,7 @@ pub use oracle::{
 use cds_core::{SessionConfig, SolveStats};
 use cds_geom::Point;
 use cds_graph::{
-    window_bounds, EdgeAttrs, EdgeId, EdgeIndex, EdgeKind, GridWindow, RoutingSurface, ShardGrid,
-    WindowView,
+    window_bounds, EdgeAttrs, EdgeId, EdgeKind, RoutingSurface, ShardGrid, WindowView,
 };
 use cds_instgen::io::doc::{StateNet, StateSection, StateStats, StateTree};
 use cds_instgen::Chip;
@@ -165,22 +164,16 @@ pub struct RouterConfig {
     pub weight_tau_ps: f64,
     /// Collect final-iteration instances for the Table I/II comparisons.
     pub harvest: bool,
-    /// Route over materialized per-net window graphs instead of the
-    /// default zero-copy [`WindowView`]s. The two backends are
-    /// bit-identical (pinned by `tests/determinism.rs`); materializing
-    /// costs a graph build plus price/delay slices per net and exists as
-    /// the reference/validation backend.
-    pub materialize_windows: bool,
     /// Incremental rip-up & re-route: after the first full iteration,
     /// reroute only *dirty* nets — a net touching an overflowed edge, a
     /// net with a negative-slack sink, or a net whose window prices /
     /// delay weights / budgets moved beyond [`price_tol`](Self::price_tol)
     /// since it was last routed — while clean nets keep their previous
-    /// [`RoutedNet`] verbatim, with incremental usage accounting and
-    /// incremental STA. `false` is the full-reroute reference backend
-    /// (every net, every iteration), which incremental mode reproduces
-    /// bit-identically at `price_tol: 0.0` (pinned by
-    /// `tests/incremental.rs`).
+    /// [`RoutedNet`] verbatim. `false` is the full-reroute reference
+    /// schedule: every net is dirty in every iteration. Both schedules
+    /// run the same loop, usage accounting and incremental STA, and
+    /// incremental mode reproduces full reroute bit-identically at
+    /// `price_tol: 0.0` (pinned by `tests/incremental.rs`).
     pub incremental: bool,
     /// Dirtiness tolerance of incremental mode: a clean net's window
     /// prices, delay weights and budgets (when the oracle reads them)
@@ -264,7 +257,6 @@ impl RouterConfig {
             "price_alpha" => self.price_alpha = num(key, value)?,
             "weight_tau_ps" => self.weight_tau_ps = num(key, value)?,
             "harvest" => self.harvest = boolean(key, value)?,
-            "materialize_windows" => self.materialize_windows = boolean(key, value)?,
             "incremental" => self.incremental = boolean(key, value)?,
             "price_tol" => self.price_tol = num(key, value)?,
             "recount_every" => self.recount_every = num(key, value)?,
@@ -291,7 +283,6 @@ impl Default for RouterConfig {
             price_alpha: 1.0,
             weight_tau_ps: 250.0,
             harvest: false,
-            materialize_windows: false,
             incremental: true,
             price_tol: 2.0,
             recount_every: 4,
@@ -332,7 +323,7 @@ pub struct NetView<'a> {
     pub sink_delays: &'a [f64],
     /// Global edge ids used, with the tracks each use consumes.
     pub used_edges: &'a [(EdgeId, f64)],
-    /// The routed tree itself (global edge ids on both window backends).
+    /// The routed tree itself (global edge ids).
     pub tree: TreeView<'a>,
 }
 
@@ -405,10 +396,10 @@ pub struct HarvestedInstance {
     pub net: usize,
     /// The delay weights this net's *committed* route was produced
     /// with: the values in effect when the net was last ripped up —
-    /// the final iteration's pre-update weights in full-reroute mode,
-    /// or (in incremental mode) the weights of whichever iteration
-    /// produced the kept route. Never the output of the closing slack
-    /// update, which routes nothing.
+    /// the last completed iteration's in full-reroute mode, or (in
+    /// incremental mode) whichever iteration produced the kept route.
+    /// Never the output of the closing slack update, which routes
+    /// nothing.
     pub weights: Vec<f64>,
     /// The SL delay budgets in effect when the net was last ripped up;
     /// empty when no budgets existed yet (single-iteration runs, where
@@ -445,8 +436,9 @@ pub struct RouterStats {
     pub dirty_budget: usize,
     /// Exact usage recounts performed (drift bounding).
     pub usage_recounts: usize,
-    /// Timing nodes re-propagated by the incremental STA engine
-    /// (`0` in full-reroute mode, which re-analyzes the whole DAG).
+    /// Timing nodes re-propagated by the incremental STA engine (both
+    /// schedules time through it; a full sweep retimes the cones of
+    /// every net whose sink delays changed).
     pub sta_nodes_retimed: u64,
     /// Search-kernel labels settled (popped and expanded) across every
     /// oracle call of the run. Like the rest of the kernel counters
@@ -561,9 +553,9 @@ pub struct RoutingOutcome {
     pub forest: RoutedForest,
     /// Harvested instances (nets with ≥ 3 sinks), when requested: each
     /// net's committed route with the weights/budgets it was last
-    /// ripped up with — the final iteration's in full-reroute mode, or
-    /// whichever iteration produced the kept route in incremental mode
-    /// (see [`HarvestedInstance`]).
+    /// ripped up with — the last completed iteration's in full-reroute
+    /// mode, or whichever iteration produced the kept route in
+    /// incremental mode (see [`HarvestedInstance`]).
     pub harvest: Vec<HarvestedInstance>,
     /// Rip-up work accounting.
     pub stats: RouterStats,
@@ -609,7 +601,7 @@ impl RoutingOutcome {
     /// harvest drift. Runs without harvesting produce exactly the
     /// historical (pre-harvest-folding) value, which is what the pinned
     /// fixture goldens compare against. Deterministic runs — any thread
-    /// count, either window backend — produce the same checksum.
+    /// or shard count — produce the same checksum.
     pub fn checksum(&self) -> u64 {
         fn eat(h: &mut u64, x: u64) {
             *h ^= x;
@@ -666,9 +658,6 @@ impl RoutingOutcome {
 pub struct Router<'a> {
     chip: &'a Chip,
     config: RouterConfig,
-    /// Global (endpoints, flavour) → edge id lookup; only the
-    /// materialized-window backend needs it.
-    edge_index: Option<EdgeIndex>,
     /// Chip-wide per-edge delays, computed once — window views index
     /// them directly with global edge ids, so no per-net delay vector
     /// is ever built.
@@ -706,9 +695,8 @@ impl<'a> Router<'a> {
         config: RouterConfig,
         oracle: Box<dyn SteinerOracle>,
     ) -> Self {
-        let edge_index = config.materialize_windows.then(|| EdgeIndex::new(&chip.grid));
         let delays = chip.grid.graph().delays();
-        Router { chip, config, edge_index, delays, oracle }
+        Router { chip, config, delays, oracle }
     }
 
     /// The oracle this router dispatches to.
@@ -734,10 +722,12 @@ impl<'a> Router<'a> {
     /// subtracting a ripped net's old edges and adding its new ones
     /// (with periodic exact recounts), and timing is refreshed by
     /// re-propagating only the cones of the arcs that changed
-    /// ([`IncrementalSta`]). Determinism is preserved: the schedule is
-    /// derived from shared per-iteration state, every per-net result
-    /// depends only on that net's inputs, and results are identical
-    /// across thread counts and window backends.
+    /// ([`IncrementalSta`]). Full-reroute mode (`incremental: false`)
+    /// is the same loop with every net scheduled in every iteration.
+    /// Determinism is preserved: the schedule is derived from shared
+    /// per-iteration state, every per-net result depends only on that
+    /// net's inputs, and results are identical across thread and shard
+    /// counts.
     pub fn run(&self) -> RoutingOutcome {
         self.run_with(&mut WorkerPool::new(), &RunControl::new(), &mut |_, _| {})
     }
@@ -799,12 +789,10 @@ impl<'a> Router<'a> {
         let n = chip.nets.len();
         let base: Vec<f64> = g.base_costs();
         let bif = self.bif();
-        let incremental = self.config.incremental;
 
-        // timing: the DAG skeleton, analyzed fully every iteration in
-        // the reference path, or held by the incremental engine
-        let (tg_template, net_nodes) = self.build_timing_graph();
-        let mut tg = tg_template;
+        // timing: the DAG skeleton, handed to the incremental engine
+        // once the (possibly restored) arc delays are in place
+        let (mut tg, net_nodes) = self.build_timing_graph();
 
         // Per-sink delay weights (Lagrange multipliers). The floor keeps
         // every sink's delay weakly priced — TNS counts all endpoints, so
@@ -821,8 +809,7 @@ impl<'a> Router<'a> {
         // outgrow the live data
         let mut forest = RoutedForest::with_slots(n);
         let mut stats = RouterStats::default();
-        let mut tracker = incremental
-            .then(|| DirtyTracker::new(chip, self.config.window_margin, self.config.price_tol));
+        let mut tracker = DirtyTracker::new(chip, self.config.window_margin, self.config.price_tol);
 
         // restore a checkpoint: ledgers and weights verbatim, trees by
         // structural import (attachment order reproduces node ids and
@@ -874,44 +861,27 @@ impl<'a> Router<'a> {
             for i in 0..n {
                 tg.set_arc_delays(&net_nodes.sink_arc[i], forest.sink_delays(i));
             }
-        }
-
-        let mut sta = incremental.then(|| IncrementalSta::new(&tg));
-        // full-reroute mode's report; incremental mode always reads the
-        // engine's (which analyzed fully at construction)
-        let mut report = (!incremental).then(|| tg.analyze());
-        // continuity of the cumulative retime counter across a resume:
-        // the engine's deltas after the checkpoint are identical in the
-        // resumed and uninterrupted runs (pure function of arc changes),
-        // so checkpoint value + post-construction deltas matches
-        let (retimed_base, retimed_initial) = match resume {
-            Some(s) => {
-                (s.stats.sta_nodes_retimed as u64, sta.as_ref().map_or(0, |e| e.total_retimed()))
-            }
-            None => (0, 0),
-        };
-        if let (Some(s), Some(t)) = (resume, &mut tracker) {
-            t.prime_prices(&s.prices);
+            tracker.prime_prices(&s.prices);
             for (i, sn) in s.nets.iter().enumerate() {
-                t.restore_net(i, sn.routed, sn.drift, &sn.weight_ref, sn.budget_ref.as_deref());
+                let budget_ref = sn.budget_ref.as_deref();
+                tracker.restore_net(i, sn.routed, sn.drift, &sn.weight_ref, budget_ref);
             }
-            // the overflow/negative-slack flags are derived state:
-            // recompute them from the restored usage and timing exactly
-            // as the checkpointing iteration's tail did
-            let overflowed = overflow_flags(g, &usage);
-            t.set_overflow_touch(&forest, &overflowed);
-            if let Some(engine) = &sta {
-                t.set_neg_slack(&net_nodes.sink_node, engine.report());
-            }
+            // the overflow flags are derived state: recompute them from
+            // the restored usage exactly as the checkpointing
+            // iteration's tail did
+            tracker.set_overflow_touch(&forest, &overflow_flags(g, &usage));
         }
 
-        // weights/budgets as routed by the *final* iteration, for harvest
-        let mut harvest_weights: Vec<Vec<f64>> = Vec::new();
-        let mut harvest_budgets: Vec<Option<Vec<f64>>> = Vec::new();
-        if self.config.harvest {
-            harvest_weights = weights.clone();
-            harvest_budgets = budgets.clone();
-        }
+        let mut sta = IncrementalSta::new(&tg);
+        // likewise the negative-slack flags, from the restored timing (a
+        // fresh run's first iteration schedules every net regardless)
+        tracker.set_neg_slack(&net_nodes.sink_node, sta.report());
+        // continuity of the cumulative retime counter across a resume:
+        // the engine counts from zero at construction, and its counts
+        // after the checkpoint are identical in the resumed and
+        // uninterrupted runs (a pure function of arc changes), so
+        // checkpoint value + engine count matches
+        let retimed_base = resume.map_or(0, |s| s.stats.sta_nodes_retimed as u64);
 
         // one warm worker per thread — oracle workspace plus a scratch
         // forest the worker routes into — reused across nets, rip-up
@@ -937,34 +907,29 @@ impl<'a> Router<'a> {
             // 1b. schedule: which nets this iteration rips up. The first
             //     iteration (and every full-reroute iteration) takes all
             //     of them; afterwards only dirty nets.
-            let dirty: Vec<usize> = match &mut tracker {
-                Some(t) if iter > 0 => {
-                    t.accumulate_drift(&chip.grid, &prices);
-                    let budget_sensitive = self.oracle.uses_budgets();
-                    (0..n)
-                        .filter(|&i| {
-                            match t.dirty_cause(
-                                i,
-                                &weights[i],
-                                budgets[i].as_deref(),
-                                budget_sensitive,
-                            ) {
-                                Some(cause) => {
-                                    stats.note(cause);
-                                    true
-                                }
-                                None => false,
+            let dirty: Vec<usize> = if iter == 0 || !self.config.incremental {
+                tracker.prime_prices(&prices);
+                stats.dirty_fresh += n;
+                (0..n).collect()
+            } else {
+                tracker.accumulate_drift(&chip.grid, &prices);
+                let budget_sensitive = self.oracle.uses_budgets();
+                (0..n)
+                    .filter(|&i| {
+                        match tracker.dirty_cause(
+                            i,
+                            &weights[i],
+                            budgets[i].as_deref(),
+                            budget_sensitive,
+                        ) {
+                            Some(cause) => {
+                                stats.note(cause);
+                                true
                             }
-                        })
-                        .collect()
-                }
-                _ => {
-                    if let Some(t) = &mut tracker {
-                        t.prime_prices(&prices);
-                    }
-                    stats.dirty_fresh += n;
-                    (0..n).collect()
-                }
+                            None => false,
+                        }
+                    })
+                    .collect()
             };
             stats.rerouted_per_iter.push(dirty.len());
 
@@ -1016,56 +981,26 @@ impl<'a> Router<'a> {
             // snapshot the inputs the ripped nets were routed with (the
             // dirtiness reference for later iterations), and flag nets
             // now touching overflowed edges
-            if let Some(t) = &mut tracker {
-                for &i in &dirty {
-                    t.note_routed(i, &weights[i], budgets[i].as_deref());
-                }
-                let overflowed = overflow_flags(g, &usage);
-                t.set_overflow_touch(&forest, &overflowed);
+            for &i in &dirty {
+                tracker.note_routed(i, &weights[i], budgets[i].as_deref());
             }
+            tracker.set_overflow_touch(&forest, &overflow_flags(g, &usage));
 
             // blend into the pricing history
             for (h, &u) in usage_hist.iter_mut().zip(&usage) {
                 *h = if iter == 0 { u } else { 0.5 * *h + 0.5 * u };
             }
 
-            // 4. timing update: the reference path rewrites every arc
-            //    and re-analyzes the DAG; the incremental engine takes
-            //    only the ripped nets' arcs and re-propagates their cones
-            match &mut sta {
-                Some(s) => {
-                    for &i in &dirty {
-                        s.set_arc_delays(&net_nodes.sink_arc[i], forest.sink_delays(i));
-                    }
-                    s.refresh();
-                    stats.sta_nodes_retimed = retimed_base + (s.total_retimed() - retimed_initial);
-                }
-                None => {
-                    for i in 0..n {
-                        tg.set_arc_delays(&net_nodes.sink_arc[i], forest.sink_delays(i));
-                    }
-                    report = Some(tg.analyze());
-                }
+            // 4. timing update: the engine takes only the ripped nets'
+            //    arcs and re-propagates their cones; the report is
+            //    borrowed from it, no per-iteration clone
+            for &i in &dirty {
+                sta.set_arc_delays(&net_nodes.sink_arc[i], forest.sink_delays(i));
             }
-            // this iteration's report — borrowed from the engine in
-            // incremental mode, no per-iteration clone
-            let rep: &TimingReport = match (&sta, &report) {
-                (Some(s), _) => s.report(),
-                (None, Some(r)) => r,
-                // INVARIANT: full mode computed report before the loop and incremental mode owns an sta, so one arm above always matches.
-                (None, None) => unreachable!("full mode analyzed above"),
-            };
-            if let Some(t) = &mut tracker {
-                t.set_neg_slack(&net_nodes.sink_node, rep);
-            }
-
-            // the final iteration's weights/budgets are harvested *as
-            // routed*, before the closing slack update below rewrites
-            // them (the update's output never routes anything)
-            if self.config.harvest && iter + 1 == self.config.iterations {
-                harvest_weights.clone_from(&weights);
-                harvest_budgets.clone_from(&budgets);
-            }
+            sta.refresh();
+            stats.sta_nodes_retimed = retimed_base + sta.total_retimed();
+            let rep = sta.report();
+            tracker.set_neg_slack(&net_nodes.sink_node, rep);
 
             // 5. weight & budget updates from slacks
             for (i, net) in chip.nets.iter().enumerate() {
@@ -1118,11 +1053,11 @@ impl<'a> Router<'a> {
                     &stats,
                     &usage,
                     &usage_hist,
-                    if incremental { &prices } else { &[] },
+                    &prices,
                     &weights,
                     &budgets,
                     &forest,
-                    tracker.as_ref(),
+                    &tracker,
                 );
                 on_checkpoint(iter + 1, state);
             }
@@ -1133,11 +1068,7 @@ impl<'a> Router<'a> {
         // the returned usage rather than to the previous iteration's
         // (cancelled runs price at the iteration they actually reached)
         let prices = self.compute_prices(&base, &usage_hist, stats.iterations_completed());
-        let report = match &sta {
-            Some(s) => s.report().clone(),
-            // INVARIANT: sta is None exactly in full mode, which analyzed the DAG into report before the loop.
-            None => report.expect("full mode analyzed the DAG before the loop"),
-        };
+        let report = sta.report().clone();
 
         // final metrics, straight off the forest's summary directory
         let cong = wire_congestion(g, &usage);
@@ -1157,21 +1088,19 @@ impl<'a> Router<'a> {
                 .filter(|(_, n)| n.sinks.len() >= 3)
                 .map(|(i, _)| {
                     // the inputs the *kept* route was actually produced
-                    // with: the tracker's last-routed snapshot in
-                    // incremental mode (a clean net's route may predate
-                    // the final iteration), the pre-update
-                    // final-iteration values in full-reroute mode
-                    let (weights, budgets) = match &tracker {
-                        Some(t) if t.has_routed(i) => (
-                            t.last_routed_weights(i).to_vec(),
-                            t.last_routed_budgets(i).map_or_else(Vec::new, <[f64]>::to_vec),
-                        ),
-                        _ => (
-                            harvest_weights[i].clone(),
-                            harvest_budgets[i].clone().unwrap_or_default(),
-                        ),
+                    // with — the tracker's last-routed snapshot (a clean
+                    // net's route may predate the last iteration); a run
+                    // that routed nothing reports the initial inputs
+                    let (w, b) = if tracker.has_routed(i) {
+                        (tracker.last_routed_weights(i), tracker.last_routed_budgets(i))
+                    } else {
+                        (&weights[i][..], budgets[i].as_deref())
                     };
-                    HarvestedInstance { net: i, weights, budgets }
+                    HarvestedInstance {
+                        net: i,
+                        weights: w.to_vec(),
+                        budgets: b.map_or_else(Vec::new, <[f64]>::to_vec),
+                    }
                 })
                 .collect()
         } else {
@@ -1207,14 +1136,10 @@ impl<'a> Router<'a> {
     /// Routes one net through an explicit oracle and workspace; shared
     /// by the main loop's worker threads and every harness.
     ///
-    /// The default backend routes over a zero-copy [`WindowView`] of the
-    /// global grid: no per-net graph is materialized, and `prices` plus
-    /// the router's precomputed global delays are passed to the oracle
-    /// unsliced (window edge ids *are* global edge ids). With
-    /// [`RouterConfig::materialize_windows`] the net is routed over a
-    /// materialized [`GridWindow`] instead, with prices/delays sliced
-    /// into per-worker buffers — bit-identical results, kept as the
-    /// reference backend.
+    /// The net is routed over a zero-copy [`WindowView`] of the global
+    /// grid: no per-net graph is materialized, and `prices` plus the
+    /// router's precomputed global delays are passed to the oracle
+    /// unsliced (window edge ids *are* global edge ids).
     #[allow(clippy::too_many_arguments)]
     pub fn route_one_with(
         &self,
@@ -1241,7 +1166,7 @@ impl<'a> Router<'a> {
     /// Routes one net through an explicit oracle and workspace straight
     /// into a [`RoutedForest`] slot — the arena path the main loop's
     /// worker threads drive: the tree, its per-sink delays, its
-    /// used-edge list (global edge ids on both backends), and its
+    /// used-edge list (global edge ids), and its
     /// wirelength/via summary all land in the forest's shared slabs;
     /// nothing per-net is materialized. Returns the net's objective
     /// value and the oracle's search-kernel counters (zero for the
@@ -1270,86 +1195,39 @@ impl<'a> Router<'a> {
         let mut local_sinks = std::mem::take(&mut ws.local_sinks);
         let g = chip.grid.graph();
 
-        let (total, kstats) = if self.config.materialize_windows {
-            let index =
-                // INVARIANT: the constructor builds edge_index whenever materialize_windows is set, and the flag never changes afterwards.
-                self.edge_index.as_ref().expect("materialize_windows prebuilds the edge index");
-            let window = GridWindow::around(&chip.grid, index, &pins, self.config.window_margin);
-            let mut local_cost = std::mem::take(&mut ws.cost_buf);
-            window.slice_into(prices, &mut local_cost);
-            let mut local_delay = std::mem::take(&mut ws.delay_buf);
-            window.slice_into(&self.delays, &mut local_delay);
-            local_sinks.clear();
-            local_sinks.extend(net.sinks.iter().map(|&p| window.localize(p)));
-            let req = OracleRequest {
-                surface: &window.grid,
-                cost: &local_cost,
-                delay: &local_delay,
-                root: window.localize(net.root),
-                sinks: &local_sinks,
-                weights,
-                budgets,
-                bif,
-                seed,
-            };
-            let kstats = oracle.route_into(&req, ws, forest, slot);
-            // evaluate + summarize over window-local ids, then
-            // globalize the stored paths so the forest's trees are
-            // uniformly in global edge ids on both backends
-            let mut eval = std::mem::take(&mut ws.eval);
-            let (totals, wl, vias) = {
-                let tv = forest.view(slot);
-                let wg = window.grid.graph();
-                (
-                    tv.evaluate_into(&local_cost, &local_delay, weights, &bif, &mut eval),
-                    tv.wirelength(wg),
-                    tv.via_count(wg),
-                )
-            };
-            forest.set_sink_delays(slot, &eval.sink_delays);
-            forest.remap_path_edges(slot, &window.to_global_edge);
-            forest.set_used_from_paths(slot, |e| (e, Self::tracks(g.edge(e))));
-            forest.set_summary(slot, wl, vias);
-            ws.eval = eval;
-            ws.cost_buf = local_cost;
-            ws.delay_buf = local_delay;
-            (totals.total, kstats)
-        } else {
-            let view = WindowView::around(&chip.grid, &pins, self.config.window_margin);
-            local_sinks.clear();
-            local_sinks.extend(net.sinks.iter().map(|&p| view.localize(p)));
-            let req = OracleRequest {
-                surface: &view,
-                cost: prices,
-                delay: &self.delays,
-                root: view.localize(net.root),
-                sinks: &local_sinks,
-                weights,
-                budgets,
-                bif,
-                seed,
-            };
-            let kstats = oracle.route_into(&req, ws, forest, slot);
-            // view edge ids are global: usage accumulation and
-            // length/via metrics read the global graph directly
-            let mut eval = std::mem::take(&mut ws.eval);
-            let (totals, wl, vias) = {
-                let tv = forest.view(slot);
-                (
-                    tv.evaluate_into(prices, &self.delays, weights, &bif, &mut eval),
-                    tv.wirelength(g),
-                    tv.via_count(g),
-                )
-            };
-            forest.set_sink_delays(slot, &eval.sink_delays);
-            forest.set_used_from_paths(slot, |e| (e, Self::tracks(g.edge(e))));
-            forest.set_summary(slot, wl, vias);
-            ws.eval = eval;
-            (totals.total, kstats)
+        let view = WindowView::around(&chip.grid, &pins, self.config.window_margin);
+        local_sinks.clear();
+        local_sinks.extend(net.sinks.iter().map(|&p| view.localize(p)));
+        let req = OracleRequest {
+            surface: &view,
+            cost: prices,
+            delay: &self.delays,
+            root: view.localize(net.root),
+            sinks: &local_sinks,
+            weights,
+            budgets,
+            bif,
+            seed,
         };
+        let kstats = oracle.route_into(&req, ws, forest, slot);
+        // view edge ids are global: usage accumulation and length/via
+        // metrics read the global graph directly
+        let mut eval = std::mem::take(&mut ws.eval);
+        let (totals, wl, vias) = {
+            let tv = forest.view(slot);
+            (
+                tv.evaluate_into(prices, &self.delays, weights, &bif, &mut eval),
+                tv.wirelength(g),
+                tv.via_count(g),
+            )
+        };
+        forest.set_sink_delays(slot, &eval.sink_delays);
+        forest.set_used_from_paths(slot, |e| (e, Self::tracks(g.edge(e))));
+        forest.set_summary(slot, wl, vias);
+        ws.eval = eval;
         ws.pins = pins;
         ws.local_sinks = local_sinks;
-        (total, kstats)
+        (totals.total, kstats)
     }
 
     /// Snapshots the rip-up loop's carry state after `iteration`
@@ -1369,30 +1247,20 @@ impl<'a> Router<'a> {
         weights: &[Vec<f64>],
         budgets: &[Option<Vec<f64>>],
         forest: &RoutedForest,
-        tracker: Option<&DirtyTracker>,
+        tracker: &DirtyTracker,
     ) -> StateSection {
         let n = self.chip.nets.len();
         let mut nets = Vec::with_capacity(n);
         let mut trees = Vec::with_capacity(n);
         for i in 0..n {
-            let (routed, drift, weight_ref, budget_ref) = match tracker {
-                Some(t) => (
-                    t.has_routed(i),
-                    t.drift(i),
-                    t.last_routed_weights(i).to_vec(),
-                    t.last_routed_budgets(i).map(<[f64]>::to_vec),
-                ),
-                // full-reroute mode has no scheduler state: every net
-                // reroutes every iteration regardless
-                None => (true, 0.0, Vec::new(), None),
-            };
+            let routed = tracker.has_routed(i);
             nets.push(StateNet {
                 routed,
-                drift,
+                drift: tracker.drift(i),
                 weights: weights[i].clone(),
                 budgets: budgets[i].clone(),
-                weight_ref,
-                budget_ref,
+                weight_ref: tracker.last_routed_weights(i).to_vec(),
+                budget_ref: tracker.last_routed_budgets(i).map(<[f64]>::to_vec),
             });
             if routed {
                 trees.push((
@@ -1849,7 +1717,6 @@ mod tests {
             ("price_alpha", "1.5"),
             ("weight_tau_ps", "100.0"),
             ("harvest", "true"),
-            ("materialize_windows", "1"),
             ("incremental", "false"),
             ("price_tol", "0.25"),
             ("recount_every", "0"),
@@ -1863,7 +1730,7 @@ mod tests {
         assert_eq!(c.method, SteinerMethod::Sl);
         assert_eq!(c.iterations, 9);
         assert_eq!(c.threads, 3);
-        assert!(c.use_dbif && c.harvest && c.materialize_windows && !c.incremental);
+        assert!(c.use_dbif && c.harvest && !c.incremental);
         assert_eq!(c.eta, 0.125);
         assert_eq!(c.price_tol, 0.25);
         assert_eq!(c.queue, QueueKind::Heap);
@@ -1873,6 +1740,8 @@ mod tests {
         c.set_knob("queue", "bucket").unwrap();
         assert_eq!(c.queue, QueueKind::Bucket);
         assert!(c.set_knob("bogus", "1").unwrap_err().contains("unknown"));
+        // a removed knob is rejected, never silently accepted
+        assert!(c.set_knob("materialize_windows", "1").unwrap_err().contains("unknown"));
         assert!(c.set_knob("oracle", "astar").unwrap_err().contains("astar"));
         assert!(c.set_knob("incremental", "maybe").unwrap_err().contains("boolean"));
         assert!(c.set_knob("queue", "fifo").unwrap_err().contains("fifo"));
@@ -2158,6 +2027,39 @@ mod tests {
         assert!(out.stats.cancelled);
         assert_eq!(out.stats.iterations_completed(), 1);
         assert_eq!(out.num_nets(), chip.nets.len());
+    }
+
+    #[test]
+    fn cancelled_run_harvests_the_inputs_its_routes_were_routed_with() {
+        // cancelled after iteration 1, a run keeps the routes of
+        // iterations 0 and 1, so it must harvest exactly what an
+        // uncancelled 2-iteration run harvests — in both schedules
+        let chip = tiny_chip();
+        for incremental in [true, false] {
+            let cfg =
+                RouterConfig { iterations: 5, harvest: true, incremental, ..Default::default() };
+            let ctrl = RunControl::new();
+            let cancelled = Router::new(&chip, cfg.clone()).run_with(
+                &mut WorkerPool::new(),
+                &ctrl,
+                &mut |iter, _| {
+                    if iter == 1 {
+                        ctrl.cancel();
+                    }
+                },
+            );
+            assert!(cancelled.stats.cancelled);
+            let two = Router::new(&chip, RouterConfig { iterations: 2, ..cfg }).run();
+            assert!(!two.harvest.is_empty(), "test chip harvested nothing");
+            assert_eq!(cancelled.harvest.len(), two.harvest.len());
+            for (a, b) in cancelled.harvest.iter().zip(&two.harvest) {
+                let ctx = format!("incremental={incremental} net {}", a.net);
+                assert_eq!(a.net, b.net, "{ctx}");
+                assert_eq!(a.weights, b.weights, "{ctx}: weights");
+                assert_eq!(a.budgets, b.budgets, "{ctx}: budgets");
+            }
+            assert_eq!(cancelled.checksum(), two.checksum(), "incremental={incremental}");
+        }
     }
 
     #[test]

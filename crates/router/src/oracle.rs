@@ -110,14 +110,13 @@ impl std::str::FromStr for SteinerMethod {
 /// One oracle request: a net inside its routing window.
 ///
 /// The routing region travels as a `&dyn` [`RoutingSurface`], so one
-/// request type covers both window backends: the router's default
-/// zero-copy [`WindowView`](cds_graph::WindowView) (edge ids are global
-/// — `cost`/`delay` are the chip-wide arrays, unsliced) and a
-/// materialized window [`GridGraph`](cds_graph::GridGraph) (edge ids are
-/// window-local — `cost`/`delay` are window slices).
+/// request type covers the router's zero-copy
+/// [`WindowView`](cds_graph::WindowView) (edge ids are global —
+/// `cost`/`delay` are the chip-wide arrays, unsliced) and a whole
+/// [`GridGraph`](cds_graph::GridGraph), as the harnesses pass it.
 #[derive(Clone)]
 pub struct OracleRequest<'a> {
-    /// The routing region (window view or materialized grid).
+    /// The routing region (window view or whole grid).
     pub surface: &'a dyn RoutingSurface,
     /// Edge prices `c(e)`, indexed by the surface's edge ids (≥ base
     /// costs, so grid future costs stay admissible).
@@ -184,10 +183,6 @@ pub struct OracleWorkspace {
     pub(crate) pins: Vec<Point>,
     /// Recycled localized sink-point list.
     pub(crate) local_sinks: Vec<Point>,
-    /// Recycled window price slice (materialized backend only).
-    pub(crate) cost_buf: Vec<f64>,
-    /// Recycled window delay slice (materialized backend only).
-    pub(crate) delay_buf: Vec<f64>,
     /// Recycled objective-evaluation scratch (DFS order, subtree
     /// weights, per-node delays, per-sink delay output).
     pub(crate) eval: EvalScratch,

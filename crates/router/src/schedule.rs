@@ -54,7 +54,9 @@ use cds_topo::RoutedForest;
 /// Why a net was scheduled for rip-up (stats bookkeeping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DirtyCause {
-    /// Never routed (or full-reroute mode).
+    /// Never routed. The loop also counts every net of a full sweep
+    /// here — the first iteration, and every iteration of full-reroute
+    /// mode — without asking the tracker.
     Fresh,
     /// A used edge exceeds capacity.
     Overflow,

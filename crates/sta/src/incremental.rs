@@ -20,8 +20,9 @@
 //! `max`/`min` sequence) the full pass uses, and propagation stops only
 //! where the recomputed value has the same bits as the cached one — in
 //! which case every downstream recomputation would reproduce its cached
-//! value too. The router's incremental mode relies on this to stay
-//! bit-identical to the full-reroute reference; `tests` pin it on
+//! value too. The router times every iteration through this engine,
+//! in both its incremental and full-reroute schedules, and relies on
+//! this for both to match a full analysis; `tests` pin it on
 //! randomized DAGs and update sequences.
 //!
 //! # Examples

@@ -9,7 +9,7 @@
 //! iteration. [`analyze`](TimingGraph::analyze) is the full reference
 //! pass; [`IncrementalSta`] is the bit-identical fast path behind it,
 //! re-propagating only the cones of arcs whose delay changed — what
-//! the router's incremental mode uses.
+//! the router times every iteration with.
 //!
 //! # Examples
 //!

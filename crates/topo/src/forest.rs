@@ -548,13 +548,6 @@ impl RoutedForest {
         self.trees[slot].as_ref().map_or(0, |m| m.vias as usize)
     }
 
-    /// All edges of the tree in `slot`, one contiguous slab range in
-    /// node order (identical enumeration order to `EmbeddedTree::edges`).
-    pub fn tree_edges(&self, slot: usize) -> &[EdgeId] {
-        let m = self.meta(slot);
-        &self.slabs.path_edges[m.path_first as usize..(m.path_first + m.path_total) as usize]
-    }
-
     // ------------------------------------------------------- building
 
     /// Opens `slot` for building, replacing any previous tree, and
@@ -729,18 +722,6 @@ impl RoutedForest {
         self.dead += m.used_len as usize;
         m.used_start = start;
         m.used_len = used_edges.len() as u32 - start;
-    }
-
-    /// Rewrites `slot`'s path edge ids in place through `map` — how the
-    /// materialized-window backend globalizes window-local edge ids
-    /// before the tree joins the chip-wide forest.
-    pub fn remap_path_edges(&mut self, slot: usize, map: &[EdgeId]) {
-        let m = *self.meta(slot);
-        for e in &mut self.slabs.path_edges
-            [m.path_first as usize..(m.path_first + m.path_total) as usize]
-        {
-            *e = map[*e as usize];
-        }
     }
 
     /// Records `slot`'s wirelength/via summary scalars.
@@ -1136,16 +1117,6 @@ mod tests {
         let want: Vec<EdgeId> = tree.edges().collect();
         assert_eq!(dst.view(3).edges(), &want[..]);
         assert!(dst.garbage_ratio() > 0.0, "the replaced tree must count as garbage");
-    }
-
-    #[test]
-    fn remap_rewrites_paths_in_place() {
-        let tree = sample_tree();
-        let mut f = RoutedForest::with_slots(1);
-        f.insert_embedded(0, &tree);
-        let map: Vec<EdgeId> = (0..4).map(|e| e + 7).collect();
-        f.remap_path_edges(0, &map);
-        assert_eq!(f.tree_edges(0), &[7, 8, 9]);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use cds_graph::{EdgeIndex, GridGraph, GridSpec, GridWindow, RoutingSurface, Wind
 use cds_instgen::ChipSpec;
 use cds_router::{Router, RouterConfig, SteinerMethod};
 use cds_topo::BifurcationConfig;
-use proptest::prelude::*;
 
 #[test]
 fn solver_bitwise_deterministic_across_repeats() {
@@ -304,70 +303,6 @@ fn window_view_solves_bit_identical_to_materialized_windows() {
             mat.tree.edges().map(|e| window.to_global_edge[e as usize]).collect();
         let view_edges: Vec<u32> = vw.tree.edges().collect();
         assert_eq!(mat_edges, view_edges, "net {i}: trees differ across backends");
-    }
-}
-
-#[test]
-fn router_view_and_materialized_windows_bit_identical() {
-    // Router::run over zero-copy window views ≡ over materialized
-    // windows, for every built-in oracle.
-    let chip = ChipSpec { num_nets: 30, ..ChipSpec::small_test(44) }.generate();
-    for method in SteinerMethod::ALL {
-        let run = |materialize_windows| {
-            Router::new(
-                &chip,
-                RouterConfig {
-                    iterations: 2,
-                    threads: 2,
-                    method,
-                    materialize_windows,
-                    ..Default::default()
-                },
-            )
-            .run()
-        };
-        let view = run(false);
-        let mat = run(true);
-        assert_eq!(view.metrics.ws.to_bits(), mat.metrics.ws.to_bits(), "{method}: WS differs");
-        assert_eq!(view.metrics.tns.to_bits(), mat.metrics.tns.to_bits(), "{method}: TNS differs");
-        assert_eq!(view.metrics.vias, mat.metrics.vias, "{method}: vias differ");
-        assert_eq!(view.usage, mat.usage, "{method}: usage differs");
-        for (i, (a, b)) in view.nets().zip(mat.nets()).enumerate() {
-            assert_eq!(a.used_edges, b.used_edges, "{method}: net {i} edges differ");
-            assert_eq!(a.sink_delays, b.sink_delays, "{method}: net {i} delays differ");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    /// WindowView routing ≡ materialized-window routing on random chips
-    /// (random generator seed and net count, full CD pipeline with
-    /// future costs, pricing, and STA feedback).
-    #[test]
-    fn window_view_routing_matches_materialized_on_random_chips(
-        chip_seed in 0u64..500,
-        num_nets in 8usize..30,
-    ) {
-        let chip = ChipSpec { num_nets, ..ChipSpec::small_test(chip_seed) }.generate();
-        let run = |materialize_windows| {
-            Router::new(&chip, RouterConfig {
-                iterations: 2,
-                threads: 2,
-                materialize_windows,
-                ..Default::default()
-            })
-            .run()
-        };
-        let view = run(false);
-        let mat = run(true);
-        prop_assert_eq!(view.metrics.ws.to_bits(), mat.metrics.ws.to_bits());
-        prop_assert_eq!(view.metrics.tns.to_bits(), mat.metrics.tns.to_bits());
-        prop_assert_eq!(view.metrics.vias, mat.metrics.vias);
-        prop_assert_eq!(&view.usage, &mat.usage);
-        for (a, b) in view.nets().zip(mat.nets()) {
-            prop_assert_eq!(a.used_edges, b.used_edges);
-        }
     }
 }
 
